@@ -102,10 +102,12 @@ int main() {
   out.arr("decision_latency", latency_records);
 
   // --- The real frontier on the acceptance scenario ------------------------
-  const char* kScenario = "examples/scenarios/fig6_flash_crowd.scn";
-  scenario::ParseResult parsed = scenario::load_scenario_file(kScenario);
+  const std::string scenario_path =
+      std::string(HEADROOM_SOURCE_DIR) +
+      "/examples/scenarios/fig6_flash_crowd.scn";
+  scenario::ParseResult parsed = scenario::load_scenario_file(scenario_path);
   if (!parsed.ok()) {
-    std::printf("  FAIL: cannot load %s: %s\n", kScenario,
+    std::printf("  FAIL: cannot load %s: %s\n", scenario_path.c_str(),
                 parsed.error.c_str());
     return 1;
   }

@@ -28,6 +28,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -256,143 +257,43 @@ int list_scenarios(const cli::Options& opt) {
   return 0;
 }
 
-int run_bakeoff_cmd(const cli::Options& opt) {
-  namespace fs = std::filesystem;
-
-  // Collect the entrant scenarios: one file, or every .scn in the library.
-  std::vector<scenario::ScenarioSpec> specs;
-  if (!opt.scenario_path.empty()) {
-    scenario::ParseResult parsed =
-        scenario::load_scenario_file(opt.scenario_path);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "headroom: %s\n", parsed.error.c_str());
-      return 2;
-    }
-    specs.push_back(std::move(parsed.spec));
-  } else {
-    const scenario::ScenarioListing listing =
-        scenario::list_scenario_dir(opt.scenario_dir);
-    if (!listing.ok()) {
-      std::fprintf(stderr, "headroom: %s\n", listing.error.c_str());
-      return 2;
-    }
-    for (const scenario::ScenarioListEntry& entry : listing.entries) {
-      if (!entry.ok()) {
-        std::fprintf(stderr, "headroom: %s: %s\n", entry.file.c_str(),
-                     entry.error.c_str());
-        return 2;
-      }
-      specs.push_back(entry.spec);
-    }
-  }
-  if (specs.empty()) {
-    std::fprintf(stderr, "headroom: no .scn files in %s\n",
-                 opt.scenario_dir.c_str());
+/// Creates the --out directory when one was given. Returns 2 on failure.
+int make_out_dir(const std::string& dir) {
+  if (dir.empty()) return 0;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "headroom: cannot create '%s': %s\n", dir.c_str(),
+                 ec.message().c_str());
     return 2;
-  }
-
-  if (!opt.bakeoff_out.empty()) {
-    std::error_code ec;
-    fs::create_directories(opt.bakeoff_out, ec);
-    if (ec) {
-      std::fprintf(stderr, "headroom: cannot create '%s': %s\n",
-                   opt.bakeoff_out.c_str(), ec.message().c_str());
-      return 2;
-    }
-  }
-
-  bool first = true;
-  for (scenario::ScenarioSpec& spec : specs) {
-    if (opt.threads_set) spec.threads = opt.threads;
-    if (spec.quiescent_dead_band > 0.0) {
-      if (!opt.quiet) {
-        std::printf("headroom: skipping '%s' (quiescent dead band — "
-                    "approximate stepping is not golden-pinnable)\n",
-                    spec.name.c_str());
-      }
-      continue;
-    }
-    const scenario::BakeoffResult result = scenario::run_bakeoff(spec);
-    const std::string frontier = scenario::format_frontier(result);
-    if (!first) std::printf("\n");
-    first = false;
-    if (!opt.quiet) {
-      std::printf("headroom: bake-off '%s' — %zu planners over %zu "
-                  "windows on %zu thread(s)\n",
-                  spec.name.c_str(), result.scores.size(), result.windows,
-                  result.thread_count);
-    }
-    std::fputs(frontier.c_str(), stdout);
-    if (!opt.bakeoff_out.empty()) {
-      const fs::path out_path =
-          fs::path(opt.bakeoff_out) / (spec.name + ".frontier");
-      std::ofstream out(out_path, std::ios::binary);
-      out << frontier;
-      if (!out.good()) {
-        std::fprintf(stderr, "headroom: cannot write '%s'\n",
-                     out_path.string().c_str());
-        return 2;
-      }
-    }
   }
   return 0;
 }
 
-int run_plan_cmd(const cli::Options& opt) {
-  namespace fs = std::filesystem;
-
-  scenario::PlanOptions popt;
-  popt.horizon_seconds = opt.horizon_days * 86400;
-  if (opt.growth > 0.0) popt.growths = {1.0, opt.growth};
-  if (!opt.failover.empty()) {
-    sim::FailoverPolicyKind kind{};
-    // args.cc validated the name; from_string cannot fail here.
-    if (!sim::failover_policy_from_string(opt.failover, kind)) {
-      std::fprintf(stderr, "headroom: unknown failover policy '%s'\n",
-                   opt.failover.c_str());
-      return 2;
-    }
-    popt.policies = {kind};
+/// Writes `text` to DIR/NAME when an --out directory was given. Returns 2
+/// on failure.
+int write_out_file(const std::string& dir, const std::string& name,
+                   const std::string& text) {
+  if (dir.empty()) return 0;
+  const std::filesystem::path path = std::filesystem::path(dir) / name;
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  if (!out.good()) {
+    std::fprintf(stderr, "headroom: cannot write '%s'\n",
+                 path.string().c_str());
+    return 2;
   }
+  return 0;
+}
 
-  if (!opt.plan_out.empty()) {
-    std::error_code ec;
-    fs::create_directories(opt.plan_out, ec);
-    if (ec) {
-      std::fprintf(stderr, "headroom: cannot create '%s': %s\n",
-                   opt.plan_out.c_str(), ec.message().c_str());
-      return 2;
-    }
-  }
-
-  // Emit one report: stdout plus the optional --out file.
-  const auto emit = [&](const scenario::PlanResult& result) -> int {
-    const std::string report = scenario::format_plan(result);
-    if (!opt.quiet) {
-      std::printf("headroom: plan '%s' — %zu case(s) over %zu pool(s), "
-                  "%zu window(s) of history\n",
-                  result.spec.name.c_str(), result.cases.size(),
-                  result.total_pools, result.windows);
-    }
-    std::fputs(report.c_str(), stdout);
-    if (!opt.plan_out.empty()) {
-      const fs::path out_path =
-          fs::path(opt.plan_out) / (result.spec.name + ".plan");
-      std::ofstream out(out_path, std::ios::binary);
-      out << report;
-      if (!out.good()) {
-        std::fprintf(stderr, "headroom: cannot write '%s'\n",
-                     out_path.string().c_str());
-        return 2;
-      }
-    }
-    return 0;
-  };
-
-  if (!opt.trace_dir.empty()) {
-    return emit(scenario::run_plan_on_trace(opt.trace_dir, popt));
-  }
-
+/// Runs `fn` on every scenario --scenario FILE or --dir DIR names, with
+/// --threads applied and a blank line between outputs. Scenarios with a
+/// quiescent dead band are skipped with a note: approximate stepping is
+/// not golden-pinnable. Returns 2 when a scenario does not load, else the
+/// first nonzero result of `fn`.
+int for_each_pinnable_scenario(
+    const cli::Options& opt,
+    const std::function<int(const scenario::ScenarioSpec&)>& fn) {
   std::vector<scenario::ScenarioSpec> specs;
   if (!opt.scenario_path.empty()) {
     scenario::ParseResult parsed =
@@ -437,10 +338,65 @@ int run_plan_cmd(const cli::Options& opt) {
     }
     if (!first) std::printf("\n");
     first = false;
-    const int rc = emit(scenario::run_plan(spec, popt));
-    if (rc != 0) return rc;
+    if (const int rc = fn(spec); rc != 0) return rc;
   }
   return 0;
+}
+
+int run_bakeoff_cmd(const cli::Options& opt) {
+  if (const int rc = make_out_dir(opt.bakeoff_out); rc != 0) return rc;
+  return for_each_pinnable_scenario(
+      opt, [&](const scenario::ScenarioSpec& spec) {
+        const scenario::BakeoffResult result = scenario::run_bakeoff(spec);
+        const std::string frontier = scenario::format_frontier(result);
+        if (!opt.quiet) {
+          std::printf("headroom: bake-off '%s' — %zu planners over %zu "
+                      "windows on %zu thread(s)\n",
+                      spec.name.c_str(), result.scores.size(), result.windows,
+                      result.thread_count);
+        }
+        std::fputs(frontier.c_str(), stdout);
+        return write_out_file(opt.bakeoff_out, spec.name + ".frontier",
+                              frontier);
+      });
+}
+
+int run_plan_cmd(const cli::Options& opt) {
+  scenario::PlanOptions popt;
+  popt.horizon_seconds = opt.horizon_days * 86400;
+  if (opt.growth > 0.0) popt.growths = {1.0, opt.growth};
+  if (!opt.failover.empty()) {
+    sim::FailoverPolicyKind kind{};
+    // args.cc validated the name; from_string cannot fail here.
+    if (!sim::failover_policy_from_string(opt.failover, kind)) {
+      std::fprintf(stderr, "headroom: unknown failover policy '%s'\n",
+                   opt.failover.c_str());
+      return 2;
+    }
+    popt.policies = {kind};
+  }
+  if (const int rc = make_out_dir(opt.plan_out); rc != 0) return rc;
+
+  // Emit one report: stdout plus the optional --out file.
+  const auto emit = [&](const scenario::PlanResult& result) -> int {
+    const std::string report = scenario::format_plan(result);
+    if (!opt.quiet) {
+      std::printf("headroom: plan '%s' — %zu case(s) over %zu pool(s), "
+                  "%zu window(s) of history\n",
+                  result.spec.name.c_str(), result.cases.size(),
+                  result.total_pools, result.windows);
+    }
+    std::fputs(report.c_str(), stdout);
+    return write_out_file(opt.plan_out, result.spec.name + ".plan", report);
+  };
+
+  if (!opt.trace_dir.empty()) {
+    return emit(scenario::run_plan_on_trace(opt.trace_dir, popt));
+  }
+  return for_each_pinnable_scenario(
+      opt, [&](const scenario::ScenarioSpec& spec) {
+        return emit(scenario::run_plan(spec, popt));
+      });
 }
 
 int run_serve(const cli::Options& opt) {
@@ -456,14 +412,8 @@ int run_serve(const cli::Options& opt) {
   sopt.staleness_budget_seconds = opt.staleness_budget_seconds;
 
   std::ofstream window_log;
+  if (const int rc = make_out_dir(opt.serve_out); rc != 0) return rc;
   if (!opt.serve_out.empty()) {
-    std::error_code ec;
-    fs::create_directories(opt.serve_out, ec);
-    if (ec) {
-      std::fprintf(stderr, "headroom: cannot create '%s': %s\n",
-                   opt.serve_out.c_str(), ec.message().c_str());
-      return 2;
-    }
     const fs::path log_path = fs::path(opt.serve_out) / "windows.log";
     window_log.open(log_path, std::ios::binary);
     if (!window_log) {
@@ -492,26 +442,11 @@ int run_serve(const cli::Options& opt) {
     served = runner.follow(opt.trace_dir, emit);
   }
 
-  if (!opt.serve_out.empty()) {
-    const fs::path summary_path = fs::path(opt.serve_out) / "summary.txt";
-    std::ofstream summary_out(summary_path, std::ios::binary);
-    summary_out << served.summary;
-    if (!summary_out.good()) {
-      std::fprintf(stderr, "headroom: cannot write '%s'\n",
-                   summary_path.string().c_str());
-      return 2;
-    }
-    if (served.health_active) {
-      const fs::path health_path = fs::path(opt.serve_out) / "health.txt";
-      std::ofstream health_out(health_path, std::ios::binary);
-      health_out << served.health_report;
-      if (!health_out.good()) {
-        std::fprintf(stderr, "headroom: cannot write '%s'\n",
-                     health_path.string().c_str());
-        return 2;
-      }
-    }
+  int rc = write_out_file(opt.serve_out, "summary.txt", served.summary);
+  if (rc == 0 && served.health_active) {
+    rc = write_out_file(opt.serve_out, "health.txt", served.health_report);
   }
+  if (rc != 0) return rc;
   if (!opt.quiet) {
     std::printf("\n--- summary (%zu windows, %zu reports, %zu resident / "
                 "%zu evicted samples) ---\n",

@@ -25,7 +25,7 @@ namespace headroom::core {
 
 class HealthMonitor;
 
-class LiveFeedBackend : public PoolExperimentBackend {
+class LiveFeedBackend final : public PoolExperimentBackend {
  public:
   struct Options {
     std::uint32_t datacenter = 0;
@@ -111,9 +111,6 @@ class LiveFeedBackend : public PoolExperimentBackend {
   /// cursor start when no workload has arrived yet. Grows as a live feed
   /// is appended to.
   [[nodiscard]] telemetry::SimTime feed_end() const;
-
- protected:
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
 
  private:
   /// Cursor-aligned span of `expected` whole windows ending at `to`.

@@ -6,8 +6,7 @@
 #include "baseline/planner_roster.h"
 #include "core/live_feed_backend.h"
 #include "core/pool_model.h"
-#include "scenario/pipeline_session.h"
-#include "scenario/scenario_runner.h"
+#include "scenario/observation.h"
 #include "telemetry/csv.h"
 #include "telemetry/metrics.h"
 
@@ -21,21 +20,14 @@ using telemetry::MetricKind;
 /// per-window planner grid, through the same sealed-feed path the RSM
 /// session reads (one window per observe()).
 [[nodiscard]] std::vector<core::PlannerWindow> read_grid(
-    const sim::FleetSimulator& fleet, const ScenarioSpec& spec,
-    telemetry::SimTime horizon) {
-  core::LiveFeedBackend::Options opt;
-  opt.datacenter = 0;
-  opt.pool = 0;
-  opt.pool_size = fleet.pool_size(0, 0);
-  opt.serving = fleet.serving_count(0, 0);
-  opt.start = 0;
-  opt.window_seconds = spec.window_seconds;
-  opt.sealed = true;
-  opt.label = "bakeoff feed";
-  core::LiveFeedBackend feed(&fleet.store(), opt);
+    const ObservationRun& observation) {
+  const ScenarioSpec& spec = observation.spec();
+  core::LiveFeedBackend feed(
+      &observation.fleet().store(),
+      observation.feed_options(0, /*sealed=*/true, "bakeoff feed"));
 
   const auto windows = static_cast<std::size_t>(
-      (horizon + spec.window_seconds - 1) / spec.window_seconds);
+      (observation.horizon() + spec.window_seconds - 1) / spec.window_seconds);
   std::vector<core::PlannerWindow> grid;
   grid.reserve(windows);
   for (std::size_t i = 0; i < windows; ++i) {
@@ -59,39 +51,21 @@ using telemetry::MetricKind;
 }  // namespace
 
 BakeoffResult run_bakeoff(const ScenarioSpec& spec) {
-  const std::string problem = validate(spec);
-  if (!problem.empty()) {
-    throw std::invalid_argument("bakeoff: " + problem);
-  }
-  if (spec.quiescent_dead_band > 0.0) {
-    throw std::invalid_argument(
-        "bakeoff: scenario '" + spec.name +
-        "' uses a quiescent dead band (approximate stepping); its frontier "
-        "is not golden-pinnable");
-  }
+  require_pinnable(spec, "bakeoff");
 
   BakeoffResult result;
   result.spec = spec;
 
   // --- Observation phase, exactly as `headroom run` executes it ----------
-  const sim::MicroserviceCatalog catalog;
-  sim::FleetConfig config = ScenarioRunner::build_fleet(spec, catalog);
-  sim::FleetSimulator fleet(std::move(config), catalog);
+  ObservationRun observation(spec);
+  observation.run_to_horizon();
+  const sim::FleetSimulator& fleet = observation.fleet();
   result.thread_count = fleet.thread_count();
-
-  const telemetry::SimTime horizon = spec.days * kDaySeconds;
-  apply_serving_reductions(fleet, spec, horizon, /*step_to_events=*/true);
-  fleet.run_until(horizon);
-  fleet.finish_day();
-
-  const std::string& pool_service =
-      fleet.config().datacenters[0].pools[0].service;
-  result.latency_slo_ms = catalog.by_name(pool_service).latency_slo_ms;
+  result.latency_slo_ms = observation.latency_slo_ms();
   result.pool_size = fleet.pool_size(0, 0);
 
   // --- The shared inputs: window grid + fitted response surface -----------
-  const std::vector<core::PlannerWindow> grid =
-      read_grid(fleet, spec, horizon);
+  const std::vector<core::PlannerWindow> grid = read_grid(observation);
   if (grid.empty()) {
     throw std::runtime_error("bakeoff: empty observation grid");
   }

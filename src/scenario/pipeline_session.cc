@@ -29,89 +29,6 @@ std::vector<ScenarioEvent> sorted_reductions(const ScenarioSpec& spec) {
   return reductions;
 }
 
-void apply_serving_reductions(sim::FleetSimulator& fleet,
-                              const ScenarioSpec& spec,
-                              telemetry::SimTime horizon,
-                              bool step_to_events) {
-  for (const ScenarioEvent& e : sorted_reductions(spec)) {
-    const telemetry::SimTime at = hours_to_sim(e.start_hour);
-    if (at >= horizon) {
-      throw std::invalid_argument(
-          "scenario: serving_reduction at hour " +
-          std::to_string(e.start_hour) + " is past the observation window");
-    }
-    const std::size_t pool_size = fleet.pool_size(*e.datacenter, *e.pool);
-    if (e.serving > pool_size) {
-      throw std::invalid_argument(
-          "scenario: serving_reduction to " + std::to_string(e.serving) +
-          " exceeds pool size " + std::to_string(pool_size));
-    }
-    if (step_to_events) fleet.run_until(at);
-    fleet.set_serving_count(*e.datacenter, *e.pool, e.serving);
-  }
-}
-
-void compute_environment_metrics(const sim::FleetSimulator& fleet,
-                                 const ScenarioSpec& spec,
-                                 std::map<std::string, double>& metrics) {
-  // Event-free baseline demand oracle the event metrics are measured
-  // against. This is a pure function of the diurnal params and the DC
-  // weights/timezones (exactly what FleetSimulator::regional_demands
-  // computes when no event is active), so it needs no second simulator.
-  const sim::FleetConfig& config = fleet.config();
-  std::vector<workload::DiurnalTraffic> baseline_traffic;
-  baseline_traffic.reserve(config.datacenters.size());
-  for (const sim::DatacenterConfig& dc : config.datacenters) {
-    workload::DiurnalParams params = config.diurnal;
-    params.peak_rps = config.diurnal.peak_rps * dc.demand_weight;
-    params.timezone_offset_hours = dc.timezone_offset_hours;
-    baseline_traffic.emplace_back(params);
-  }
-
-  const telemetry::SimTime horizon = spec.days * kDaySeconds;
-
-  metrics["datacenters"] = static_cast<double>(config.datacenters.size());
-  metrics["total_pools"] = static_cast<double>(fleet.total_pools());
-  metrics["total_servers"] = static_cast<double>(fleet.total_servers());
-  metrics["serving_final"] = static_cast<double>(fleet.serving_count(0, 0));
-
-  double max_ratio = 1.0;
-  std::vector<double> survivor_max_ratio(config.datacenters.size(), 0.0);
-  bool any_outage_window = false;
-  for (telemetry::SimTime t = 0; t < horizon; t += spec.window_seconds) {
-    bool any_down = false;
-    for (std::uint32_t d = 0; d < config.datacenters.size(); ++d) {
-      if (config.events.datacenter_down(t, d)) any_down = true;
-    }
-    for (std::uint32_t d = 0; d < config.datacenters.size(); ++d) {
-      const double base = baseline_traffic[d].demand(t);
-      if (base <= 1e-9) continue;
-      const double ratio = fleet.datacenter_demand(t, d) / base;
-      max_ratio = std::max(max_ratio, ratio);
-      if (any_down && !config.events.datacenter_down(t, d)) {
-        any_outage_window = true;
-        survivor_max_ratio[d] = std::max(survivor_max_ratio[d], ratio);
-      }
-    }
-  }
-  metrics["max_traffic_ratio"] = max_ratio;
-  double median_increase = 0.0;
-  double max_increase = 0.0;
-  if (any_outage_window) {
-    std::vector<double> increases;
-    for (const double ratio : survivor_max_ratio) {
-      if (ratio > 0.0) increases.push_back((ratio - 1.0) * 100.0);
-    }
-    std::sort(increases.begin(), increases.end());
-    if (!increases.empty()) {
-      median_increase = increases[increases.size() / 2];
-      max_increase = increases.back();
-    }
-  }
-  metrics["median_survivor_increase_pct"] = median_increase;
-  metrics["max_survivor_increase_pct"] = max_increase;
-}
-
 void evaluate_assertions(const ScenarioSpec& spec, ScenarioRunResult& result) {
   for (const ScenarioAssertion& assertion : spec.assertions) {
     AssertionOutcome outcome;
@@ -185,23 +102,6 @@ void compute_pool_assertion_metrics(const telemetry::MetricStore& store,
     }
     metrics[assertion.metric] = out;
   }
-}
-
-telemetry::MetricStore truncate_store(const telemetry::MetricStore& full,
-                                      telemetry::SimTime end) {
-  telemetry::MetricStore out;
-  telemetry::MetricBuffer buffer;
-  for (const telemetry::SeriesKey& key : full.keys()) {
-    const telemetry::SeriesView view =
-        full.series(key).slice(std::numeric_limits<telemetry::SimTime>::min(),
-                               end);
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      buffer.record(key, view.time_at(i), view.value_at(i));
-    }
-    out.merge(buffer);
-    buffer.clear();
-  }
-  return out;
 }
 
 PipelineSession::PipelineSession(const ScenarioSpec& spec, PipelineContext ctx)

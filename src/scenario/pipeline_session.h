@@ -12,9 +12,10 @@
 // same order, which is what keeps the streaming pipeline's final summary
 // byte-identical to the batch goldens.
 //
-// The free functions are the runner internals serve also needs (reduction
-// timelines, the environment-metric oracle, store truncation, assertion
-// evaluation) — pure functions shared rather than duplicated.
+// The free functions are the runner internals serve also needs (the
+// reduction timeline and assertion evaluation) — pure functions shared
+// rather than duplicated. The observation phase itself lives in
+// scenario/observation.h.
 #pragma once
 
 #include <map>
@@ -102,22 +103,6 @@ class PipelineSession {
 [[nodiscard]] std::vector<ScenarioEvent> sorted_reductions(
     const ScenarioSpec& spec);
 
-/// Validates and applies the spec's serving reductions. In simulator mode
-/// the fleet is stepped to each reduction boundary first (the observation
-/// phase pauses there); replay applies only the control-variable changes —
-/// the telemetry those reductions produced is already in the trace.
-void apply_serving_reductions(sim::FleetSimulator& fleet,
-                              const ScenarioSpec& spec,
-                              telemetry::SimTime horizon, bool step_to_events);
-
-/// Fleet-shape and event-timeline metrics. Everything here is a pure
-/// function of the config and the demand oracle (datacenter_demand does
-/// not depend on stepping state), so simulator runs, trace replays and
-/// serve sessions compute identical values without sharing any telemetry.
-void compute_environment_metrics(const sim::FleetSimulator& fleet,
-                                 const ScenarioSpec& spec,
-                                 std::map<std::string, double>& metrics);
-
 /// Checks every spec assertion against the flat metric map.
 void evaluate_assertions(const ScenarioSpec& spec, ScenarioRunResult& result);
 
@@ -131,11 +116,5 @@ void evaluate_assertions(const ScenarioSpec& spec, ScenarioRunResult& result);
 void compute_pool_assertion_metrics(const telemetry::MetricStore& store,
                                     const ScenarioSpec& spec,
                                     std::map<std::string, double>& metrics);
-
-/// The recording truncated at `end`: exactly the telemetry the pipeline's
-/// measure/fit stages saw in the original run, rebuilt through the same
-/// batched-merge write path the simulator records through.
-[[nodiscard]] telemetry::MetricStore truncate_store(
-    const telemetry::MetricStore& full, telemetry::SimTime end);
 
 }  // namespace headroom::scenario

@@ -1,15 +1,12 @@
 #include "scenario/planning.h"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 
 #include "query/query_engine.h"
-#include "scenario/pipeline_session.h"
-#include "scenario/scenario_runner.h"
+#include "scenario/observation.h"
 #include "scenario/trace.h"
 #include "sim/failover.h"
-#include "sim/fleet.h"
 #include "telemetry/csv.h"
 
 namespace headroom::scenario {
@@ -140,19 +137,6 @@ void forecast_cases(const sim::FleetConfig& config,
   }
 }
 
-void check_plannable(const ScenarioSpec& spec) {
-  const std::string problem = validate(spec);
-  if (!problem.empty()) {
-    throw std::invalid_argument("plan: " + problem);
-  }
-  if (spec.quiescent_dead_band > 0.0) {
-    throw std::invalid_argument(
-        "plan: scenario '" + spec.name +
-        "' uses a quiescent dead band (approximate stepping); its plan "
-        "report is not golden-pinnable");
-  }
-}
-
 void check_options(const PlanOptions& options) {
   if (options.horizon_seconds <= 0) {
     throw std::invalid_argument("plan: horizon must be positive");
@@ -167,7 +151,7 @@ void check_options(const PlanOptions& options) {
 }  // namespace
 
 PlanResult run_plan(const ScenarioSpec& spec, const PlanOptions& options) {
-  check_plannable(spec);
+  require_pinnable(spec, "plan");
   check_options(options);
 
   PlanResult result;
@@ -177,16 +161,12 @@ PlanResult run_plan(const ScenarioSpec& spec, const PlanOptions& options) {
   result.history_end = spec.days * kDaySeconds;
 
   // Observation phase, exactly as `headroom run` executes it.
-  const sim::MicroserviceCatalog catalog;
-  sim::FleetConfig config = ScenarioRunner::build_fleet(spec, catalog);
-  sim::FleetSimulator fleet(std::move(config), catalog);
-  result.thread_count = fleet.thread_count();
-  apply_serving_reductions(fleet, spec, result.history_end,
-                           /*step_to_events=*/true);
-  fleet.run_until(result.history_end);
-  fleet.finish_day();
+  ObservationRun observation(spec);
+  result.thread_count = observation.fleet().thread_count();
+  observation.run_to_horizon();
 
-  forecast_cases(fleet.config(), catalog, fleet.store(), result);
+  forecast_cases(observation.fleet().config(), observation.catalog(),
+                 observation.fleet().store(), result);
   return result;
 }
 
@@ -194,11 +174,11 @@ PlanResult run_plan_on_trace(const std::string& dir,
                              const PlanOptions& options) {
   check_options(options);
   TraceFeedInfo info;
-  const std::string problem = load_trace_feed(dir, &info);
+  std::string problem = load_trace_feed(dir, &info);
   if (!problem.empty()) {
     throw std::runtime_error(problem);
   }
-  check_plannable(info.spec);
+  require_pinnable(info.spec, "plan");
 
   PlanResult result;
   result.spec = info.spec;
@@ -207,22 +187,14 @@ PlanResult run_plan_on_trace(const std::string& dir,
   result.history_end = info.spec.days * kDaySeconds;
 
   telemetry::MetricStore store;
-  for (const TracePoolFeed& feed : info.pools) {
-    std::ifstream in(feed.path);
-    if (!in) {
-      throw std::runtime_error(feed.path + ": cannot open pool trace");
-    }
-    const telemetry::CsvReadResult read = telemetry::read_pool_csv(
-        in, feed.path, &store, feed.datacenter, feed.pool);
-    if (!read.ok()) {
-      throw std::runtime_error(read.error);
-    }
+  problem = read_trace_pools(info, &store);
+  if (!problem.empty()) {
+    throw std::runtime_error(problem);
   }
 
-  const sim::MicroserviceCatalog catalog;
-  const sim::FleetConfig config =
-      ScenarioRunner::build_fleet(info.spec, catalog);
-  forecast_cases(config, catalog, store, result);
+  const ObservationRun observation(info.spec, ObservationSource::kRecorded);
+  forecast_cases(observation.fleet().config(), observation.catalog(), store,
+                 result);
   return result;
 }
 

@@ -3,18 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 
 #include "core/sim_backend.h"
-#include "core/trace_backend.h"
+#include "scenario/observation.h"
 #include "scenario/pipeline_session.h"
 #include "workload/events.h"
 
 namespace headroom::scenario {
 
 namespace {
-
-constexpr telemetry::SimTime kDay = kDaySeconds;
 
 void require_service(const sim::MicroserviceCatalog& catalog,
                      const std::string& service) {
@@ -72,11 +71,17 @@ void attach_wave(sim::FleetConfig& config, const ScenarioEvent& event) {
   return buf;
 }
 
-/// One PipelineSession driven start-to-finish: the batch pipeline is the
-/// streaming pipeline replayed in a single call (see pipeline_session.h).
-void run_pipeline_steps(const ScenarioSpec& spec, const PipelineContext& ctx,
-                        ScenarioRunResult& result) {
-  PipelineSession session(spec, ctx);
+/// The batch pipeline over an observation phase: one PipelineSession
+/// driven start-to-finish (the streaming pipeline replayed in a single call,
+/// see pipeline_session.h), then the assertions.
+ScenarioRunResult run_pipeline(const ObservationRun& observation,
+                               const telemetry::MetricStore& store,
+                               std::span<const sim::ServerDayCpu> server_days,
+                               core::PoolExperimentBackend& backend) {
+  ScenarioRunResult result = observation.observed_result();
+  PipelineSession session(
+      result.spec,
+      observation.pipeline_context(store, server_days, backend));
   session.run_measure_and_plan(result);
   session.start_rsm();
   if (!session.advance_rsm()) {
@@ -84,6 +89,9 @@ void run_pipeline_steps(const ScenarioSpec& spec, const PipelineContext& ctx,
         "scenario: pipeline backend reported pending data in a batch run");
   }
   session.finalize(result);
+  compute_pool_assertion_metrics(store, result.spec, result.metrics);
+  evaluate_assertions(result.spec, result);
+  return result;
 }
 
 }  // namespace
@@ -170,45 +178,16 @@ sim::FleetConfig ScenarioRunner::build_fleet(
 }
 
 ScenarioRunResult ScenarioRunner::run(const ScenarioSpec& spec) const {
-  const sim::MicroserviceCatalog catalog;
-  sim::FleetConfig config = build_fleet(spec, catalog);
-  sim::FleetSimulator fleet(std::move(config), catalog);
-  return run_on_fleet(spec, fleet, catalog);
+  ObservationRun observation(spec);
+  return run(observation);
 }
 
-ScenarioRunResult ScenarioRunner::run_on_fleet(
-    const ScenarioSpec& spec, sim::FleetSimulator& fleet,
-    const sim::MicroserviceCatalog& catalog) const {
-  ScenarioRunResult result;
-  result.spec = spec;
-  result.thread_count = fleet.thread_count();
-
-  const telemetry::SimTime horizon = spec.days * kDay;
-
-  // --- Observation phase, pausing at serving-reduction boundaries ---------
-  apply_serving_reductions(fleet, spec, horizon, /*step_to_events=*/true);
-  fleet.run_until(horizon);
-  fleet.finish_day();
-
-  compute_environment_metrics(fleet, spec, result.metrics);
-
-  const std::string& pool_service =
-      fleet.config().datacenters[0].pools[0].service;
-  const sim::MicroserviceProfile& profile = catalog.by_name(pool_service);
-  result.latency_slo_ms = profile.latency_slo_ms;
-
+ScenarioRunResult ScenarioRunner::run(ObservationRun& observation) const {
+  observation.run_to_horizon();
+  sim::FleetSimulator& fleet = observation.fleet();
   core::SimPoolBackend backend(&fleet, 0, 0);
-  PipelineContext ctx;
-  ctx.store = &fleet.store();
-  ctx.server_days = fleet.server_day_cpu();
-  ctx.backend = &backend;
-  ctx.latency_slo_ms = profile.latency_slo_ms;
-  ctx.datacenter_count = fleet.config().datacenters.size();
-  run_pipeline_steps(spec, ctx, result);
-
-  compute_pool_assertion_metrics(fleet.store(), spec, result.metrics);
-  evaluate_assertions(spec, result);
-  return result;
+  return run_pipeline(observation, fleet.store(), fleet.server_day_cpu(),
+                      backend);
 }
 
 ScenarioRunResult ScenarioRunner::replay(const ScenarioSpec& spec,
@@ -216,68 +195,16 @@ ScenarioRunResult ScenarioRunner::replay(const ScenarioSpec& spec,
   if (inputs.trace == nullptr) {
     throw std::invalid_argument("ScenarioRunner::replay: null trace store");
   }
-
-  ScenarioRunResult result;
-  result.spec = spec;
-
-  // Config oracle: built exactly as the recording run built it, but never
-  // stepped — it answers pure-config questions (pool sizes, demand curves,
-  // event windows) while every observation comes from the trace.
-  const sim::MicroserviceCatalog catalog;
-  sim::FleetConfig config = build_fleet(spec, catalog);
-  sim::FleetSimulator fleet(std::move(config), catalog);
-  result.thread_count = fleet.thread_count();
-
-  const telemetry::SimTime horizon = spec.days * kDay;
-
-  // Reductions move the control variable only; their telemetry is already
-  // in the trace. Applying them yields the recording's serving count at
-  // the horizon — the RSM planner's starting point.
-  apply_serving_reductions(fleet, spec, horizon, /*step_to_events=*/false);
-
-  compute_environment_metrics(fleet, spec, result.metrics);
-
-  const std::string& pool_service =
-      fleet.config().datacenters[0].pools[0].service;
-  const sim::MicroserviceProfile& profile = catalog.by_name(pool_service);
-  result.latency_slo_ms = profile.latency_slo_ms;
-
-  const telemetry::MetricStore observation =
-      truncate_store(*inputs.trace, horizon);
-
-  core::TraceExperimentBackend::Options trace_opt;
-  trace_opt.datacenter = 0;
-  trace_opt.pool = 0;
-  trace_opt.pool_size = fleet.pool_size(0, 0);
-  trace_opt.serving = fleet.serving_count(0, 0);
-  // The recording's RSM phase began where run_until left the fleet: the
-  // first window boundary at or after the horizon (a horizon that is not
-  // a window multiple is overshot by one partial step).
-  trace_opt.start = (horizon + spec.window_seconds - 1) / spec.window_seconds *
-                    spec.window_seconds;
-  trace_opt.window_seconds = spec.window_seconds;
-  core::TraceExperimentBackend backend(inputs.trace, trace_opt);
-
-  // Per-server-day rows as of measure time: the recording kept appending
-  // rows during the RSM phase (days at or past the horizon), which the
-  // measure step had not seen.
-  std::vector<sim::ServerDayCpu> observation_days;
-  observation_days.reserve(inputs.server_days.size());
-  for (const sim::ServerDayCpu& day : inputs.server_days) {
-    if (day.day < spec.days) observation_days.push_back(day);
-  }
-
-  PipelineContext ctx;
-  ctx.store = &observation;
-  ctx.server_days = observation_days;
-  ctx.backend = &backend;
-  ctx.latency_slo_ms = profile.latency_slo_ms;
-  ctx.datacenter_count = fleet.config().datacenters.size();
-  run_pipeline_steps(spec, ctx, result);
-
-  compute_pool_assertion_metrics(observation, spec, result.metrics);
-  evaluate_assertions(spec, result);
-  return result;
+  const ObservationRun observation(spec, ObservationSource::kRecorded);
+  const telemetry::MetricStore store =
+      observation.observation_store(*inputs.trace);
+  core::LiveFeedBackend backend(
+      inputs.trace,
+      observation.feed_options(observation.experiment_start(),
+                               /*sealed=*/true, "headroom replay"));
+  return run_pipeline(observation, store,
+                      observation.observation_days(inputs.server_days),
+                      backend);
 }
 
 std::string format_summary(const ScenarioRunResult& result) {

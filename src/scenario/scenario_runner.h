@@ -9,15 +9,16 @@
 // The outcome is both structured (per-step results for narrative display)
 // and flat (a metric map the spec's assertions are checked against).
 //
-// Two execution modes share every pipeline stage:
+// Two execution modes share every pipeline stage, and both take their
+// observation phase from scenario/observation.h:
 //   run()    — simulator mode: steps a fleet for the observation phase and
 //              hands the RSM planner a live SimPoolBackend.
 //   replay() — trace mode: no stepping at all. Observation-phase telemetry
 //              comes from a recorded MetricStore, the RSM planner reads a
-//              TraceExperimentBackend over the same recording, and the
-//              environment metrics are recomputed from the spec's demand
-//              oracle (a pure function of the config, so they match the
-//              recording run bit-for-bit). A lossless trace round-trip
+//              sealed core::LiveFeedBackend over the same recording, and
+//              the environment metrics are recomputed from the spec's
+//              demand oracle (a pure function of the config, so they match
+//              the recording run bit-for-bit). A lossless trace round-trip
 //              therefore reproduces format_summary() byte-for-byte.
 //
 // Determinism: for a fixed spec (ignoring `threads`), every thread count
@@ -42,6 +43,8 @@
 #include "workload/synthetic.h"
 
 namespace headroom::scenario {
+
+class ObservationRun;
 
 struct AssertionOutcome {
   ScenarioAssertion assertion;
@@ -88,12 +91,10 @@ class ScenarioRunner {
   /// missing from the catalog, a serving reduction exceeding a pool size).
   [[nodiscard]] ScenarioRunResult run(const ScenarioSpec& spec) const;
 
-  /// run() on a caller-constructed fleet, which must be freshly built from
-  /// build_fleet(spec) and never stepped. Trace export uses this: the
-  /// stepped fleet's telemetry is what gets captured after the run.
-  [[nodiscard]] ScenarioRunResult run_on_fleet(
-      const ScenarioSpec& spec, sim::FleetSimulator& fleet,
-      const sim::MicroserviceCatalog& catalog) const;
+  /// run() on a caller-built observation, which must be simulated and not
+  /// yet stepped: it is stepped to its horizon here, and afterwards its
+  /// fleet holds the whole run's telemetry (trace export captures it).
+  [[nodiscard]] ScenarioRunResult run(ObservationRun& observation) const;
 
   /// Executes the scenario's pipeline against recorded telemetry instead
   /// of a simulator (see the header comment). Throws std::invalid_argument

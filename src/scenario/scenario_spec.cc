@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string_view>
 
 namespace headroom::scenario {
@@ -392,6 +393,19 @@ std::string validate(const ScenarioSpec& spec) {
     }
   }
   return "";
+}
+
+void require_pinnable(const ScenarioSpec& spec, const std::string& command) {
+  const std::string problem = validate(spec);
+  if (!problem.empty()) {
+    throw std::invalid_argument(command + ": " + problem);
+  }
+  if (spec.quiescent_dead_band > 0.0) {
+    throw std::invalid_argument(
+        command + ": scenario '" + spec.name +
+        "' uses a quiescent dead band (approximate stepping); its " + command +
+        " output is not golden-pinnable");
+  }
 }
 
 }  // namespace headroom::scenario

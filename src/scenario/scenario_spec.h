@@ -208,4 +208,10 @@ struct PoolMetricRef {
 /// one-line description of the first problem found.
 [[nodiscard]] std::string validate(const ScenarioSpec& spec);
 
+/// The entry check of the golden-pinned subcommands (`bakeoff`, `plan`):
+/// validate(), and no quiescent dead band — approximate stepping cannot be
+/// pinned byte-for-byte. Throws std::invalid_argument prefixed with
+/// `command`.
+void require_pinnable(const ScenarioSpec& spec, const std::string& command);
+
 }  // namespace headroom::scenario

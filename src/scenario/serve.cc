@@ -16,7 +16,7 @@
 #include "core/rolling_plan.h"
 #include "query/query_engine.h"
 #include "scenario/fault.h"
-#include "scenario/pipeline_session.h"
+#include "scenario/observation.h"
 #include "scenario/trace.h"
 #include "telemetry/csv.h"
 
@@ -391,38 +391,13 @@ ServeRunner::ServeRunner(ServeOptions options) : options_(options) {}
 
 ServeResult ServeRunner::serve(const ScenarioSpec& spec,
                                const EmitFn& emit) const {
-  const sim::MicroserviceCatalog catalog;
-  sim::FleetConfig config = ScenarioRunner::build_fleet(spec, catalog);
-  sim::FleetSimulator fleet(std::move(config), catalog);
+  ObservationRun observation(spec);
+  sim::FleetSimulator& fleet = observation.fleet();
+  const SimTime window = spec.window_seconds;
 
   ServeResult out;
-  out.result.spec = spec;
-  out.result.thread_count = fleet.thread_count();
-
-  const SimTime window = spec.window_seconds;
-  const SimTime horizon = spec.days * kDaySeconds;
-
-  // Validate every reduction before stepping (the batch path interleaves
-  // validation with stepping; failing early keeps the same error surface
-  // without wasted simulation).
-  const std::vector<ScenarioEvent> reductions = sorted_reductions(spec);
-  for (const ScenarioEvent& e : reductions) {
-    const SimTime at = hours_to_sim(e.start_hour);
-    if (at >= horizon) {
-      throw std::invalid_argument(
-          "scenario: serving_reduction at hour " +
-          std::to_string(e.start_hour) + " is past the observation window");
-    }
-    const std::size_t pool_size = fleet.pool_size(*e.datacenter, *e.pool);
-    if (e.serving > pool_size) {
-      throw std::invalid_argument(
-          "scenario: serving_reduction to " + std::to_string(e.serving) +
-          " exceeds pool size " + std::to_string(pool_size));
-    }
-  }
-
   std::vector<PoolStream> streams =
-      build_streams(fleet.config(), catalog, options_);
+      build_streams(fleet.config(), observation.catalog(), options_);
 
   // --- Degraded-input delivery layer ---------------------------------------
   // Active only when the spec injects faults (or --harden opts in). The
@@ -441,82 +416,54 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
     dopt.heal_budget_seconds = options_.heal_budget_seconds;
     dopt.staleness_budget_seconds = options_.staleness_budget_seconds;
     health_monitor.emplace(&delivered, dopt);
-    const sim::FleetConfig& fleet_config = fleet.config();
-    for (std::uint32_t d = 0; d < fleet_config.datacenters.size(); ++d) {
-      for (std::uint32_t p = 0;
-           p < fleet_config.datacenters[d].pools.size(); ++p) {
-        health_monitor->add_pool(d, p);
-      }
-    }
+    for (const PoolStream& s : streams) health_monitor->add_pool(s.dc, s.pool);
   }
   core::HealthMonitor* health =
       health_monitor ? &*health_monitor : nullptr;
   const telemetry::MetricStore& read_store =
       health_active ? delivered : fleet.store();
 
-  if (emit) {
-    emit("serve phase=observe t=0 horizon=" + std::to_string(horizon));
-  }
-
-  // --- Observation phase, one window at a time ----------------------------
-  // A reduction lands at the first window boundary at or after its start
-  // hour — exactly where the batch path's run_until(at) pauses the fleet.
-  std::size_t next_reduction = 0;
-  while (fleet.now() < horizon) {
-    const SimTime t = fleet.now();
-    while (next_reduction < reductions.size() &&
-           hours_to_sim(reductions[next_reduction].start_hour) <= t) {
-      const ScenarioEvent& e = reductions[next_reduction++];
-      fleet.set_serving_count(*e.datacenter, *e.pool, e.serving);
-    }
-    fleet.run_until(t + window);
+  // One served window, in every phase: step the fleet, route the window
+  // through the delivery layer, and emit the per-pool reports.
+  const auto serve_window = [&](const char* phase) {
+    const SimTime t = observation.step_window();
     if (health != nullptr) {
       deliver_window(fleet.store(), t, *injector, *health, delivered);
       health->advance(t + window);
     }
     ++out.windows;
-    emit_window_reports(read_store, streams, t, "observe", emit,
-                        &out.reports, health);
-  }
-  fleet.finish_day();
+    emit_window_reports(read_store, streams, t, phase, emit, &out.reports,
+                        health);
+  };
 
-  compute_environment_metrics(fleet, spec, out.result.metrics);
+  if (emit) {
+    emit("serve phase=observe t=0 horizon=" +
+         std::to_string(observation.horizon()));
+  }
+  while (observation.observing()) serve_window("observe");
+  observation.finish_observation();
+
+  out.result = observation.observed_result();
   // Pool-level assertion targets read the observation phase exactly — and
   // must be resolved now, before retention starts rolling it away.
   compute_pool_assertion_metrics(read_store, spec, out.result.metrics);
-  const std::string& pool_service =
-      fleet.config().datacenters[0].pools[0].service;
-  out.result.latency_slo_ms = catalog.by_name(pool_service).latency_slo_ms;
 
   // --- Pipeline over the live feed -----------------------------------------
-  core::LiveFeedBackend::Options feed_opt;
-  feed_opt.datacenter = 0;
-  feed_opt.pool = 0;
-  feed_opt.pool_size = fleet.pool_size(0, 0);
-  feed_opt.serving = fleet.serving_count(0, 0);
-  feed_opt.start = fleet.now();
-  feed_opt.window_seconds = window;
-  feed_opt.sealed = false;
-  // The hook forwards serving changes into the simulator, which produces
-  // the active-servers column — validating against it would be circular.
-  feed_opt.validate_serving = false;
-  feed_opt.label = "headroom serve";
-  core::LiveFeedBackend backend(&read_store, feed_opt);
+  core::LiveFeedBackend backend(
+      &read_store,
+      observation.feed_options(fleet.now(), /*sealed=*/false,
+                               "headroom serve"));
   backend.set_serving_hook([&fleet](std::size_t servers) {
     fleet.set_serving_count(0, 0, servers);
   });
   backend.set_health_monitor(health);
 
-  PipelineContext ctx;
-  ctx.store = &read_store;
-  // Consumed synchronously by run_measure_and_plan below; the simulator
-  // appends more rows during the experiment phase, which may reallocate.
-  ctx.server_days = fleet.server_day_cpu();
-  ctx.backend = &backend;
-  ctx.latency_slo_ms = out.result.latency_slo_ms;
-  ctx.datacenter_count = fleet.config().datacenters.size();
-
-  PipelineSession session(spec, ctx);
+  // The server-day rows are consumed synchronously by run_measure_and_plan;
+  // the simulator appends more during the experiment phase, which may
+  // reallocate.
+  PipelineSession session(spec,
+                          observation.pipeline_context(
+                              read_store, fleet.server_day_cpu(), backend));
   session.run_measure_and_plan(out.result);
 
   if (options_.reuse_observation_baseline &&
@@ -550,32 +497,14 @@ ServeResult ServeRunner::serve(const ScenarioSpec& spec,
       session.abort_rsm_failsafe();
       continue;
     }
-    const SimTime t = fleet.now();
-    fleet.run_until(t + window);
-    if (health != nullptr) {
-      deliver_window(fleet.store(), t, *injector, *health, delivered);
-      health->advance(t + window);
-    }
-    ++out.windows;
-    emit_window_reports(read_store, streams, t, "experiment", emit,
-                        &out.reports, health);
+    serve_window("experiment");
   }
   session.finalize(out.result);
   evaluate_assertions(spec, out.result);
 
   // --- Steady-state monitoring (optional) ----------------------------------
   const SimTime steady_end = fleet.now() + options_.extra_days * kDaySeconds;
-  while (fleet.now() < steady_end) {
-    const SimTime t = fleet.now();
-    fleet.run_until(t + window);
-    if (health != nullptr) {
-      deliver_window(fleet.store(), t, *injector, *health, delivered);
-      health->advance(t + window);
-    }
-    ++out.windows;
-    emit_window_reports(read_store, streams, t, "steady", emit,
-                        &out.reports, health);
-  }
+  while (fleet.now() < steady_end) serve_window("steady");
 
   out.summary = format_summary(out.result);
   out.resident_samples = fleet.store().sample_count();
@@ -601,29 +530,17 @@ ServeResult ServeRunner::follow(const std::string& trace_dir,
   if (!problem.empty()) throw std::runtime_error(problem);
   const ScenarioSpec& spec = info.spec;
 
-  ServeResult out;
-  out.result.spec = spec;
-
   // Config oracle, never stepped: pool sizes, SLOs, demand curves, and the
   // serving count the reductions leave behind (replay semantics).
-  const sim::MicroserviceCatalog catalog;
-  sim::FleetConfig config = ScenarioRunner::build_fleet(spec, catalog);
-  sim::FleetSimulator fleet(std::move(config), catalog);
-  out.result.thread_count = fleet.thread_count();
-
+  const ObservationRun observation(spec, ObservationSource::kRecorded);
   const SimTime window = spec.window_seconds;
-  const SimTime horizon = spec.days * kDaySeconds;
-  const SimTime experiment_start =
-      (horizon + window - 1) / window * window;
+  const SimTime experiment_start = observation.experiment_start();
 
-  apply_serving_reductions(fleet, spec, horizon, /*step_to_events=*/false);
-  compute_environment_metrics(fleet, spec, out.result.metrics);
-  const std::string& pool_service =
-      fleet.config().datacenters[0].pools[0].service;
-  out.result.latency_slo_ms = catalog.by_name(pool_service).latency_slo_ms;
+  ServeResult out;
+  out.result = observation.observed_result();
 
-  std::vector<PoolStream> streams =
-      build_streams(fleet.config(), catalog, options_);
+  std::vector<PoolStream> streams = build_streams(
+      observation.fleet().config(), observation.catalog(), options_);
 
   // Follow always hardens: the tailer routes every row through a health
   // monitor writing the feed store, so malformed, duplicated, reordered,
@@ -697,7 +614,8 @@ ServeResult ServeRunner::follow(const std::string& trace_dir,
   };
 
   if (emit) {
-    emit("serve phase=observe t=0 horizon=" + std::to_string(horizon));
+    emit("serve phase=observe t=0 horizon=" +
+         std::to_string(observation.horizon()));
   }
 
   // --- Fill to the observation horizon -------------------------------------
@@ -708,35 +626,20 @@ ServeResult ServeRunner::follow(const std::string& trace_dir,
 
   // The measure/plan stages see the recording truncated at the horizon —
   // exactly what the recording run's pipeline saw (replay semantics).
-  const telemetry::MetricStore observation = truncate_store(feed, horizon);
-  compute_pool_assertion_metrics(observation, spec, out.result.metrics);
-  std::vector<sim::ServerDayCpu> observation_days;
-  observation_days.reserve(info.server_days.size());
-  for (const sim::ServerDayCpu& day : info.server_days) {
-    if (day.day < spec.days) observation_days.push_back(day);
-  }
+  const telemetry::MetricStore store = observation.observation_store(feed);
+  compute_pool_assertion_metrics(store, spec, out.result.metrics);
+  const std::vector<sim::ServerDayCpu> observation_days =
+      observation.observation_days(info.server_days);
 
-  core::LiveFeedBackend::Options feed_opt;
-  feed_opt.datacenter = 0;
-  feed_opt.pool = 0;
-  feed_opt.pool_size = fleet.pool_size(0, 0);
-  feed_opt.serving = fleet.serving_count(0, 0);
-  feed_opt.start = experiment_start;
-  feed_opt.window_seconds = window;
-  feed_opt.sealed = false;  // the trace is still growing
-  feed_opt.validate_serving = true;  // recorded active_servers is the truth
-  feed_opt.label = "headroom follow";
-  core::LiveFeedBackend backend(&feed, feed_opt);
+  // The trace is still growing, and its recorded active_servers column is
+  // the truth serving changes are validated against.
+  core::LiveFeedBackend backend(
+      &feed, observation.feed_options(experiment_start, /*sealed=*/false,
+                                      "headroom follow"));
   backend.set_health_monitor(&monitor);
 
-  PipelineContext ctx;
-  ctx.store = &observation;
-  ctx.server_days = observation_days;
-  ctx.backend = &backend;
-  ctx.latency_slo_ms = out.result.latency_slo_ms;
-  ctx.datacenter_count = fleet.config().datacenters.size();
-
-  PipelineSession session(spec, ctx);
+  PipelineSession session(
+      spec, observation.pipeline_context(store, observation_days, backend));
   session.run_measure_and_plan(out.result);
 
   if (options_.reuse_observation_baseline &&
@@ -760,7 +663,7 @@ ServeResult ServeRunner::follow(const std::string& trace_dir,
 
   if (emit) {
     emit("serve phase=experiment t=" + std::to_string(experiment_start) +
-         " serving=" + std::to_string(fleet.serving_count(0, 0)));
+         " serving=" + std::to_string(observation.fleet().serving_count(0, 0)));
   }
   experiment_running = true;
 

@@ -45,10 +45,12 @@ struct TraceReplayResult {
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };
 
-/// Loads a trace directory and replays the scenario's pipeline against the
-/// recording (ScenarioRunner::replay). Malformed manifests/CSVs come back
-/// as `source:line: message` diagnostics in `error`; a replay that diverges
-/// from the recording throws std::runtime_error (TraceExperimentBackend).
+/// Loads a trace directory (load_trace_feed + read_trace_pools) and replays
+/// the scenario's pipeline against the recording (ScenarioRunner::replay,
+/// over a recorded ObservationRun and a sealed core::LiveFeedBackend).
+/// Malformed manifests/CSVs come back as `source:line: message`
+/// diagnostics in `error`; a replay that diverges from the recording
+/// throws std::runtime_error.
 [[nodiscard]] TraceReplayResult replay_trace(const std::string& dir);
 
 /// One pool CSV of a trace directory, resolved to an openable path.
@@ -69,10 +71,15 @@ struct TraceFeedInfo {
 
 /// Loads manifest, scenario, and server-day rows of a trace directory and
 /// resolves the pool CSV paths without reading them (serve --follow tails
-/// those as they grow on disk). Validates the same manifest/scenario
-/// cross-checks replay_trace does. Returns "" on success, else a
+/// those as they grow on disk). Returns "" on success, else a
 /// `source:line: message` diagnostic.
 [[nodiscard]] std::string load_trace_feed(const std::string& dir,
                                           TraceFeedInfo* out);
+
+/// Reads every pool CSV `info` lists into `store` with the strict batch
+/// rules of telemetry::read_pool_csv (replay and plan --trace). Returns ""
+/// on success, else a `source:line: message` diagnostic.
+[[nodiscard]] std::string read_trace_pools(const TraceFeedInfo& info,
+                                           telemetry::MetricStore* store);
 
 }  // namespace headroom::scenario

@@ -13,6 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "core/sim_backend.h"
+#include "sim/fleet.h"
+#include "sim/topology.h"
 #include "telemetry/metric_store.h"
 
 namespace headroom::core {
@@ -144,6 +147,47 @@ TEST(LiveFeedBackend, SealedFeedThrowsTraceExhausted) {
     EXPECT_NE(what.find("trace exhausted at t=0"), std::string::npos) << what;
     EXPECT_NE(what.find("recording ends at t=240"), std::string::npos) << what;
   }
+  EXPECT_EQ(backend.cursor(), 0);  // the failed observation consumed nothing
+}
+
+TEST(LiveFeedBackend, SealedFeedEndIsTheRecordingEnd) {
+  MetricStore store;
+  append_windows(&store, 0, 10);
+  LiveFeedBackend::Options opt = live_options();
+  opt.sealed = true;
+  LiveFeedBackend backend(&store, opt);
+  EXPECT_EQ(backend.feed_end(), 10 * kWindow);
+  (void)backend.observe(4 * kWindow);
+  (void)backend.observe(6 * kWindow);
+  EXPECT_EQ(backend.cursor(), backend.feed_end());
+  EXPECT_THROW(backend.observe(kWindow), std::runtime_error);
+}
+
+TEST(LiveFeedBackend, SealedFeedMatchesTheSimBackendOnTheSameStore) {
+  // Both backends read through observations_between, so a sealed feed over
+  // a fleet's store must yield the simulator's observation vectors
+  // bit-for-bit — the guarantee the trace round trip rests on.
+  const sim::MicroserviceCatalog catalog;
+  sim::FleetSimulator fleet(sim::single_pool_fleet(catalog, "D", 12, 5),
+                            catalog);
+  SimPoolBackend live(&fleet, 0, 0);
+  const ExperimentObservations from_sim = live.observe(6 * 3600);
+
+  LiveFeedBackend::Options opt;
+  opt.pool_size = fleet.pool_size(0, 0);
+  opt.serving = fleet.serving_count(0, 0);
+  opt.window_seconds = fleet.config().window_seconds;
+  opt.sealed = true;
+  LiveFeedBackend replayed(&fleet.store(), opt);
+  const ExperimentObservations from_feed = replayed.observe(6 * 3600);
+
+  ASSERT_EQ(from_feed.size(), from_sim.size());
+  for (std::size_t i = 0; i < from_sim.size(); ++i) {
+    EXPECT_EQ(from_feed.total_rps[i], from_sim.total_rps[i]) << i;
+    EXPECT_EQ(from_feed.servers[i], from_sim.servers[i]) << i;
+    EXPECT_EQ(from_feed.latency_p95_ms[i], from_sim.latency_p95_ms[i]) << i;
+    EXPECT_EQ(from_feed.cpu_pct[i], from_sim.cpu_pct[i]) << i;
+  }
 }
 
 TEST(LiveFeedBackend, LiveFeedWithoutPumpThrowsFeedExhausted) {
@@ -223,6 +267,20 @@ TEST(LiveFeedBackend, ValidationCatchesReplayDivergence) {
   EXPECT_NO_THROW(backend.set_serving_count(9));
   (void)backend.observe(2 * kWindow);  // cursor now past the recorded end
   EXPECT_NO_THROW(backend.set_serving_count(4));
+}
+
+TEST(LiveFeedBackend, SealedSetServingCountPastTheRecordingIsUnchecked) {
+  MetricStore store;
+  append_windows(&store, 0, 4, /*servers=*/8.0);
+  LiveFeedBackend::Options opt = live_options();
+  opt.sealed = true;
+  opt.validate_serving = true;
+  LiveFeedBackend backend(&store, opt);
+  (void)backend.observe(4 * kWindow);
+  // The cursor is at the end of the recording: the planner's final
+  // adoption of its recommendation has no recorded window to check.
+  EXPECT_NO_THROW(backend.set_serving_count(3));
+  EXPECT_EQ(backend.serving_count(), 3u);
 }
 
 TEST(LiveFeedBackend, ValidationOffAcceptsAnyInRangeCount) {
